@@ -21,6 +21,13 @@ Gate (runs in ``--quick`` CI mode too):
   the per-binding one, measured both client-side (query logs) and
   server-side (``/stats`` request counters reconcile).
 
+A **one-member row** serves the merged store from a fourth loopback
+server and runs the star and OPTIONAL shapes through a federation of a
+single :class:`HttpSparqlEndpoint`.  The federation forwards each query
+whole, so the gate asks for rows equal (in order) to the direct
+endpoint's and **exactly one HTTP request per query**, client-side and
+on the server's ``/stats``.
+
 ``--json PATH`` (via ``conftest.bench_main``) writes the machine-readable
 results CI uploads as a ``BENCH_*.json`` artifact.
 
@@ -57,6 +64,13 @@ STAR_QUERY = (
     "?p dbo:birthPlace ?c }"
 )
 
+#: The star with its third spoke optional: the one-member row's second
+#: shape (OPTIONAL must run at the source, not once per base row).
+OPTIONAL_QUERY = (
+    "SELECT ?p ?n ?c WHERE { ?p a dbo:Person . ?p foaf:name ?n . "
+    "OPTIONAL { ?p dbo:birthPlace ?c } }"
+)
+
 #: Ride-along parity shapes: the new operators across the same wire.
 EXTRA_QUERIES = [
     "SELECT ?x WHERE { { ?x a dbo:Person } UNION { ?x a dbo:City } }",
@@ -80,11 +94,15 @@ def build_star_slices():
     return types, names, places
 
 
-def row_key(result) -> List:
-    return sorted(
+def ordered_rows(result) -> List:
+    return [
         tuple(sorted((name, term.n3()) for name, term in row.items()))
         for row in result.rows
-    )
+    ]
+
+
+def row_key(result) -> List:
+    return sorted(ordered_rows(result))
 
 
 def fetch_requests(server) -> int:
@@ -108,6 +126,16 @@ def stack():
     yield servers, merged
     for server in servers:
         server.stop()
+
+
+@pytest.fixture(scope="module")
+def solo(stack):
+    """The merged store behind one server: the one-member row."""
+    _, merged = stack
+    endpoint = SparqlEndpoint(merged, EndpointConfig.warehouse(), name="merged")
+    server = SparqlHttpServer(endpoint).start()
+    yield server, endpoint
+    server.stop()
 
 
 def make_federation(servers, batch_size) -> FederatedQueryProcessor:
@@ -212,6 +240,51 @@ def test_batched_bind_join_round_trips(stack, benchmark):
         with open(json_path, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"\nresults written to {json_path}")
+
+
+def test_one_member_forwards_each_query_whole(solo):
+    server, endpoint = solo
+    federation = make_federation([server], batch_size=30)
+    rows = {}
+    for name, query in (("star", STAR_QUERY), ("optional", OPTIONAL_QUERY)):
+        result, client_requests, server_requests = run_counted(
+            federation, [server], query
+        )
+        # -- parity gate: the direct endpoint's rows, in its order -----
+        assert ordered_rows(result) == ordered_rows(endpoint.select(query)), name
+        assert len(result.rows) == N_PERSONS
+        # -- round-trip gate: one request, reconciled with /stats ------
+        assert client_requests == server_requests, name
+        assert client_requests == 1, (
+            f"{name}: one-member federation used {client_requests} "
+            f"requests, expected exactly 1 (the forwarded query)"
+        )
+        rows[name] = len(result.rows)
+
+    emit(
+        "Federated star join — one member, forwarded whole",
+        "endpoints:            1 loopback HTTP server (merged store)\n"
+        f"rows (star/optional): {rows['star']}/{rows['optional']}\n"
+        "requests per query:   1  (gate == 1, client == /stats)\n"
+        "parity:               forwarded == direct endpoint, in order",
+    )
+
+    json_path = os.environ.get("BENCH_JSON")
+    if json_path:
+        # The batched-vs-per-binding test wrote the file first.
+        payload = {}
+        if os.path.exists(json_path):
+            with open(json_path) as handle:
+                payload = json.load(handle)
+        payload["one_member"] = {
+            "shapes": sorted(rows),
+            "rows": rows,
+            "requests_per_query": 1,
+            "gate": {"requests_per_query": 1, "reconciled": True,
+                     "parity_mismatches": 0, "pass": True},
+        }
+        with open(json_path, "w") as handle:
+            json.dump(payload, handle, indent=2)
 
 
 def test_federated_explain_over_http(stack):

@@ -8,8 +8,7 @@ alternative-terms suggestion rounds through two configurations:
 
 * **batched** — the default: every probed query position ships all its
   candidate terms as one ``VALUES``-constrained probe, which the
-  federated planner executes as a single
-  :class:`~repro.sparql.plan.RemoteBindJoinNode` request per endpoint;
+  federation forwards whole to its one endpoint as a single request;
 * **per-candidate** — ``qsm_batched_probes=False``, the classic
   Algorithm 2 loop issuing one query per candidate (the seed behaviour
   this PR replaces).
@@ -179,13 +178,14 @@ def test_batched_suggestion_rounds(stack, benchmark):
 
 
 def test_probe_explain_is_free(stack):
-    """explain_suggestions shows the batched plan without data requests
-    beyond the (cached) source-selection probes."""
+    """explain_suggestions shows the batched plan without data requests:
+    each probe is forwarded whole to the one member, whose EXPLAIN is
+    free and unlogged."""
     sapphire, client = make_sapphire(stack, batched=True)
     sapphire.terms_finder.suggest(parse_query(ROUND_QUERIES[0]))  # warm
     plan = sapphire.explain_suggestions(ROUND_QUERIES[0])
     assert "sapphire_probe" in plan
-    assert "RemoteBindJoin" in plan or "RemoteScan" in plan
+    assert f"forwarded to {client.name}" in plan and "ValuesScan" in plan
     client.reset_log()
     sapphire.explain_suggestions(ROUND_QUERIES[0])
     assert client.query_count == 0

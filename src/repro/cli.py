@@ -28,6 +28,7 @@ import sys
 from typing import List, Optional
 
 from . import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
+from .endpoint.endpoint import EndpointError
 from .data import DatasetConfig, build_dataset
 
 __all__ = ["main", "build_parser"]
@@ -711,7 +712,13 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except EndpointError as exc:
+        # A query the endpoint timed out or rejected: report it the way
+        # the endpoint did, without a traceback.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

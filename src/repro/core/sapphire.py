@@ -484,9 +484,10 @@ class SapphireServer:
         each registered endpoint reports how its evaluator would run the
         query — operator tree, cardinality estimates, pushed filters,
         or the backtracking fallback.  With more than one endpoint the
-        federated plan follows: source-selection verdicts plus the
-        remote operator tree the mediator will actually execute
-        (``server.run_query`` always goes through the federation).
+        federated plan follows (``server.run_query`` always goes through
+        the federation): ``forwarded to <endpoint>`` when one endpoint
+        holds every pattern, else source-selection verdicts plus the
+        remote operator tree the mediator will actually execute.
 
         With ``analyze=True`` the query is then executed through the
         federation under a tracer and the execution trace (per-operator
@@ -515,9 +516,10 @@ class SapphireServer:
         """EXPLAIN for the batched QSM probe round, no execution.
 
         Shows every VALUES-batched probe query one suggestion round
-        would ship (one per probed position) and the federated plan it
-        compiles to — the ``RemoteBindJoinNode``/``ValuesScan`` shape
-        that turns per-candidate endpoint calls into one request per
+        would ship (one per probed position) and how the federation
+        runs it — forwarded whole to a sole source (one request), or a
+        ``RemoteBindJoinNode``/``ValuesScan`` mediator plan — which
+        turns per-candidate endpoint calls into one request per
         endpoint per round (``docs/predictive-model.md``).
         """
         if isinstance(query, QueryBuilder):

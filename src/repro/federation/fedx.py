@@ -1,14 +1,27 @@
 """FedX-style federated query processing as a thin planner client.
 
 Sapphire fronts one or more SPARQL endpoints with a federated query
-processor (the paper uses FedX [22]).  Since the query engine grew an
-explicit pipeline — parse → logical algebra → optimize → physical
-execution — federation is no longer a separate evaluator: this module
-translates and normalizes queries through the *same*
-:mod:`~repro.sparql.algebra` stage as local execution (so duplicate
-patterns are deduplicated once, filters are pushed once), runs the same
-greedy cost-ranked join ordering, and compiles to the remote physical
-operators in :mod:`~repro.sparql.plan`:
+processor (the paper uses FedX [22]).
+
+**Sole-source forwarding** comes first.  When one member can answer the
+whole query — it is the federation's only member, or source selection
+assigns it every triple pattern, patterns under OPTIONAL, UNION and
+MINUS included — the parsed query ships to that member unchanged.
+Projection, DISTINCT, ORDER BY, LIMIT/OFFSET and OPTIONAL then run at
+the source, under its own timeout and row cap, and its answer comes back
+exactly as the member gave it: the ``truncated`` flag of a capped result
+and the :class:`EndpointError` of a query the member killed both reach
+the caller (over HTTP, ``X-Result-Truncated`` and ``504``/``503``, as
+from a bare endpoint).
+
+Queries that really span several members go through the mediator.
+Since the query engine grew an explicit pipeline — parse → logical
+algebra → optimize → physical execution — federation is no longer a
+separate evaluator: this module translates and normalizes queries
+through the *same* :mod:`~repro.sparql.algebra` stage as local execution
+(so duplicate patterns are deduplicated once, filters are pushed once),
+runs the same greedy cost-ranked join ordering, and compiles to the
+remote physical operators in :mod:`~repro.sparql.plan`:
 
 1. **Cost-based source selection** — each triple pattern is probed with
    an ASK query at every member endpoint (cached by pattern signature);
@@ -28,10 +41,14 @@ operators in :mod:`~repro.sparql.plan`:
    execution uses; remote terms are interned into a per-query mediator
    store so everything joins on integers.
 
-Solution modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) run at
-the mediator by reusing the local evaluator's pipeline, and
+On the mediator path, solution modifiers (DISTINCT/GROUP BY/ORDER/
+LIMIT/aggregates) run at the mediator by reusing the local evaluator's
+pipeline.  The answer carries a completeness bit: when a member capped a
+sub-query's rows, or failed and was skipped so the others' answers
+survive, the result comes back with ``truncated=True``.
 :meth:`FederatedQueryProcessor.explain` renders the same operator-tree
-EXPLAIN the rest of the system uses.
+EXPLAIN the rest of the system uses, or, for a forwarded query, the
+member's own EXPLAIN under a ``forwarded to <member>`` line.
 """
 
 from __future__ import annotations
@@ -74,7 +91,7 @@ from ..sparql.plan import (
 )
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import ask_query
-from ..sparql.trace import QueryTrace, Tracer
+from ..sparql.trace import QueryTrace, Tracer, accepts_tracer
 from ..store.triplestore import TripleStore
 
 __all__ = ["FederatedQueryProcessor"]
@@ -106,6 +123,14 @@ def _generalize(pattern: TriplePattern) -> TriplePattern:
     return TriplePattern(
         wildcard(pattern.subject), wildcard(pattern.predicate), wildcard(pattern.object)
     )
+
+
+def _incomplete_nodes(plan: PlanNode) -> List[PlanNode]:
+    """Remote operators in ``plan`` that lost rows during execution."""
+    found = [plan] if getattr(plan, "incomplete", False) else []
+    for child in plan.children():
+        found.extend(_incomplete_nodes(child))
+    return found
 
 
 class FederatedQueryProcessor:
@@ -157,18 +182,21 @@ class FederatedQueryProcessor:
         query = parse_query(query_text)
         if query.form != "SELECT":
             raise SparqlError("use ask() for ASK queries")
-        return self._evaluate(query)
+        return self.run(query)
 
     def ask(self, query_text: str) -> AskResult:
         query = parse_query(query_text)
         if query.form != "ASK":
             raise SparqlError("use select() for SELECT queries")
-        for _ in self._solve(query.where):
-            return AskResult(True)
-        return AskResult(False)
+        return self.run(query)
 
     def run(self, query, tracer: Optional[Tracer] = None):
         """Run a parsed or textual query of either form.
+
+        A query one member can answer alone is forwarded to it whole
+        (:meth:`sole_source`); its result, and any ``EndpointError`` it
+        raises, pass through unchanged.  Anything else runs on the
+        mediator.
 
         ``tracer`` (optional) records per-operator spans, with one
         remote span per endpoint round — the federated half of the
@@ -176,11 +204,50 @@ class FederatedQueryProcessor:
         ``X-Repro-Trace-Id`` header.
         """
         parsed = parse_query(query) if isinstance(query, str) else query
+        source = self.sole_source(parsed)
+        if source is not None:
+            return self._forward(source, parsed, tracer)
         if parsed.form == "ASK":
             for _ in self._solve(parsed.where, tracer):
                 return AskResult(True)
             return AskResult(False)
         return self._evaluate(parsed, tracer)
+
+    def sole_source(self, query: Query):
+        """The member that can answer all of ``query`` by itself, or None.
+
+        That is the only member of a one-member federation (no probes
+        are sent), or else the one member source selection assigns
+        every triple pattern to — OPTIONAL, UNION and MINUS patterns
+        included, so no part of the query could match elsewhere.
+        """
+        if len(self.endpoints) == 1:
+            return self.endpoints[0]
+        sole = None
+        for pattern in self._collect_patterns(query.where):
+            sources = self.relevant_sources(pattern)
+            if len(sources) != 1 or (sole is not None and sources[0] is not sole):
+                return None
+            sole = sources[0]
+        return sole
+
+    @staticmethod
+    def _forward(source, query: Query, tracer: Optional[Tracer]):
+        """Ship ``query`` unchanged to ``source``.  Traced calls open a
+        remote span (which hands the trace id to HTTP members) and pass
+        the tracer on to members that take one, so their operator spans
+        stay in the tree."""
+        call = source.ask if query.form == "ASK" else source.select
+        if tracer is None:
+            return call(query)
+        with tracer.remote_call(source, kind="forward") as span:
+            if accepts_tracer(call):
+                result = call(query, tracer=tracer)
+            else:
+                result = call(query)
+            if span is not None and isinstance(result, SelectResult):
+                span.attrs["rows"] = len(result.rows)
+            return result
 
     def analyze(
         self, query, tracer: Optional[Tracer] = None
@@ -198,6 +265,8 @@ class FederatedQueryProcessor:
         operator-tree EXPLAIN as local execution, preceded by the
         source-selection verdicts (probing runs, execution does not
         unless ``analyze=True``, which appends the execution trace).
+        A query :meth:`sole_source` forwards shows ``forwarded to
+        <member>`` and the member's own EXPLAIN instead.
         """
         if analyze:
             from ..eval.reporting import format_trace
@@ -206,6 +275,9 @@ class FederatedQueryProcessor:
             _, trace = self.analyze(query)
             return f"{plan_text}\n\n{format_trace(trace)}"
         parsed = parse_query(query) if isinstance(query, str) else query
+        source = self.sole_source(parsed)
+        if source is not None:
+            return f"forwarded to {source.name}\n{source.explain(parsed)}"
         store = TripleStore()
         plan = self._compile_group(parsed.where, store)
         lines = [f"Federated {self._pipeline._explain_header(parsed)}"]
@@ -320,8 +392,13 @@ class FederatedQueryProcessor:
     def _evaluate(
         self, query: Query, tracer: Optional[Tracer] = None
     ) -> SelectResult:
-        solutions = list(self._solve(query.where, tracer))
-        return self._finalize(query, solutions)
+        gaps: List[PlanNode] = []
+        solutions = list(self._solve(query.where, tracer, gaps))
+        result = self._finalize(query, solutions)
+        # A capped or failed member fetch anywhere makes the answer
+        # possibly incomplete: say so instead of returning it as whole.
+        result.truncated = bool(gaps)
+        return result
 
     def _finalize(self, query: Query, solutions: List[Binding]) -> SelectResult:
         """Solution modifiers at the mediator, via the shared pipeline
@@ -331,10 +408,16 @@ class FederatedQueryProcessor:
         return finalize_solutions(self._pipeline, query, solutions)
 
     def _solve(
-        self, group: GraphPattern, tracer: Optional[Tracer] = None
+        self,
+        group: GraphPattern,
+        tracer: Optional[Tracer] = None,
+        gaps: Optional[List[PlanNode]] = None,
     ) -> Iterator[Binding]:
         """Execute one group across the federation: compile, stream the
         plan over a fresh mediator store, apply OPTIONALs per solution.
+
+        Remote operators that lost rows (a capped or failed member
+        fetch) are appended to ``gaps`` once the stream is exhausted.
         """
         store = TripleStore()
         plan = self._compile_group(group, store)
@@ -350,19 +433,24 @@ class FederatedQueryProcessor:
         )
         if not group.optionals:
             yield from base
-            return
-        for solution in base:
-            current = [solution]
-            for optional in group.optionals:
-                extended: List[Binding] = []
-                for row in current:
-                    matches = self._solve_optional(optional, row)
-                    extended.extend(matches if matches else [row])
-                current = extended
-            yield from current
+        else:
+            for solution in base:
+                current = [solution]
+                for optional in group.optionals:
+                    extended: List[Binding] = []
+                    for row in current:
+                        matches = self._solve_optional(optional, row, gaps)
+                        extended.extend(matches if matches else [row])
+                    current = extended
+                yield from current
+        if gaps is not None:
+            gaps.extend(_incomplete_nodes(plan))
 
     def _solve_optional(
-        self, optional: GraphPattern, solution: Binding
+        self,
+        optional: GraphPattern,
+        solution: Binding,
+        gaps: Optional[List[PlanNode]] = None,
     ) -> List[Binding]:
         """One OPTIONAL extension for one base solution.
 
@@ -376,7 +464,7 @@ class FederatedQueryProcessor:
         """
         bound = self._bind_group(optional, solution)
         merged: List[Binding] = []
-        for row in self._solve(bound):
+        for row in self._solve(bound, None, gaps):
             combined = _merge_compatible(solution, row)
             if combined is not None:
                 merged.append(combined)

@@ -250,6 +250,8 @@ class ServerStats:
         self._routes: Dict[str, _RouteStats] = {}
         self.queued_peak = 0
         self.in_flight_peak = 0
+        #: Responses sent with ``X-Result-Truncated: true``.
+        self.truncated_responses = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -262,6 +264,11 @@ class ServerStats:
             if stats is None:
                 stats = self._routes[route] = _RouteStats()
             stats.record(status, seconds, rows)
+
+    def record_truncated(self) -> None:
+        """Count one response whose answer was capped or incomplete."""
+        with self._lock:
+            self.truncated_responses += 1
 
     def observe_queue(self, queued: int, in_flight: int) -> None:
         """Track admission-control high-water marks (gauge peaks)."""
@@ -297,6 +304,7 @@ class ServerStats:
                 "client_errors": self._sum("client_errors"),
                 "server_errors": self._sum("server_errors"),
                 "rows_served": self._sum("rows_served"),
+                "truncated_responses": self.truncated_responses,
             }
 
     @property
@@ -332,6 +340,7 @@ class ServerStats:
                 "client_errors": self._sum("client_errors"),
                 "server_errors": self._sum("server_errors"),
                 "rows_served": self._sum("rows_served"),
+                "truncated_responses": self.truncated_responses,
                 "latency_p50_ms": round(merged.percentile(0.50) * 1e3, 3),
                 "latency_p99_ms": round(merged.percentile(0.99) * 1e3, 3),
                 "queued_peak": self.queued_peak,
@@ -487,7 +496,8 @@ def route_deltas(before: Dict[str, object], after: Dict[str, object],
 #: Counter fields summed across workers when merging ``/stats`` bodies.
 _MERGE_SUM_FIELDS = ("requests", "ok", "rejected", "timeouts",
                      "client_errors", "server_errors", "rows_served",
-                     "in_flight", "queued", "sessions", "session_activity")
+                     "in_flight", "queued", "sessions", "session_activity",
+                     "truncated_responses")
 _MERGE_MAX_FIELDS = ("queued_peak", "in_flight_peak")
 
 #: Suggestion-cache counters summed across workers; the per-tier hit

@@ -68,7 +68,6 @@ rendered trace tree as ``text/plain``.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import random
@@ -82,7 +81,7 @@ from ..sparql.ast_nodes import Query
 from ..sparql.errors import SparqlError
 from ..sparql.parser import parse_query
 from ..sparql.results import SelectResult
-from ..sparql.trace import Tracer
+from ..sparql.trace import Tracer, accepts_tracer
 from .formats import NotAcceptable, negotiate
 from .metrics import ServerStats, SlowQueryLog, StatsTimeSeries
 from .suggest import (
@@ -189,13 +188,13 @@ class SparqlWsgiApp:
         # Tracing is duck-typed: only backends whose query surface grew
         # a ``tracer`` parameter get traced requests.  Foreign backends
         # keep working exactly as before (never handed a tracer).
-        self._traceable = _accepts_tracer(
+        self._traceable = accepts_tracer(
             getattr(self.backend, "run", None)
             or getattr(self.backend, "select", None)
         )
-        self._suggest_traceable = self.suggester is not None and _accepts_tracer(
+        self._suggest_traceable = self.suggester is not None and accepts_tracer(
             getattr(self.suggester, "run_query", None)
-        ) and _accepts_tracer(getattr(self.suggester, "complete", None))
+        ) and accepts_tracer(getattr(self.suggester, "complete", None))
         self.stats = ServerStats()
         self.series = StatsTimeSeries()
         self._workers = threading.BoundedSemaphore(max_workers)
@@ -439,6 +438,7 @@ class SparqlWsgiApp:
             # the endpoint's row cap must stay visible to clients —
             # HttpSparqlEndpoint restores the flag from this header.
             headers["X-Result-Truncated"] = "true"
+            self.stats.record_truncated()
         return 200, headers, payload, rows
 
     def _maybe_tracer(
@@ -727,16 +727,6 @@ class SparqlWsgiApp:
         headers = list(_json_headers(len(payload)).items()) + (extra_headers or [])
         start_response(_STATUS_LINES[status], headers)
         return [payload]
-
-
-def _accepts_tracer(method) -> bool:
-    """True when ``method`` has an inspectable ``tracer`` parameter."""
-    if method is None:
-        return False
-    try:
-        return "tracer" in inspect.signature(method).parameters
-    except (TypeError, ValueError):
-        return False
 
 
 def _default_deadline(backend) -> Optional[float]:

@@ -1656,12 +1656,17 @@ class RemoteScanNode(PlanNode):
     store's dictionary, so the mediator joins them in ID space like any
     local rows.  Rows are deduplicated across sources (two endpoints
     may hold overlapping data).
+
+    ``incomplete`` turns true when a source capped its rows
+    (``truncated``) or failed and was skipped: the rows produced are
+    then possibly not all there are, and the federation says so.
     """
 
     def __init__(self, patterns: Sequence[TriplePattern], sources: Sequence,
                  est_rows: int) -> None:
         self.patterns = list(patterns)
         self.sources = list(sources)
+        self.incomplete = False
         names: List[str] = []
         for pattern in self.patterns:
             for name in pattern.variables():
@@ -1708,6 +1713,7 @@ class RemoteScanNode(PlanNode):
                         yield ()
                         return
                 except EndpointError:
+                    self.incomplete = True
                     continue
             return
         query = select_query(self.patterns, distinct=False)
@@ -1724,7 +1730,10 @@ class RemoteScanNode(PlanNode):
                             span.attrs["rows"] = len(result.rows)
             except EndpointError:
                 # A failing source cannot veto the others' answers.
+                self.incomplete = True
                 continue
+            if result.truncated:
+                self.incomplete = True
             for row in result.rows:
                 ids = tuple(
                     encode(row[name]) if name in row else None
@@ -1753,7 +1762,8 @@ class RemoteBindJoinNode(PlanNode):
     instead of one per binding, which is where federated joins spend
     their time (the FedX "bound join" idea, upgraded from FILTER
     disjunctions to VALUES).  Left rows with an unbound shared slot
-    ship ``UNDEF``, preserving compatibility semantics.
+    ship ``UNDEF``, preserving compatibility semantics.  ``incomplete``
+    is set as on :class:`RemoteScanNode`.
     """
 
     def __init__(self, left: PlanNode, pattern: TriplePattern, sources: Sequence,
@@ -1764,6 +1774,7 @@ class RemoteBindJoinNode(PlanNode):
         self.pattern = pattern
         self.sources = list(sources)
         self.batch_size = batch_size
+        self.incomplete = False
         self.shared = tuple(
             name for name in pattern.variables() if name in left.slot_of
         )
@@ -1854,7 +1865,10 @@ class RemoteBindJoinNode(PlanNode):
                         if span is not None:
                             span.attrs["rows"] = len(result.rows)
             except EndpointError:
+                self.incomplete = True
                 continue
+            if result.truncated:
+                self.incomplete = True
             for row in result.rows:
                 key = tuple(row.get(name) for name in self.shared)
                 extension = tuple(row.get(name) for name in self.fresh)

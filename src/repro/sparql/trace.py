@@ -35,6 +35,7 @@ collected remote traces back under their calling spans.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from contextlib import contextmanager
@@ -46,6 +47,7 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_CHILDREN",
     "new_trace_id",
+    "accepts_tracer",
     "Span",
     "QueryTrace",
     "Tracer",
@@ -68,6 +70,16 @@ _QUERY_SNIPPET = 500
 def new_trace_id() -> str:
     """A fresh 64-bit hex trace id."""
     return f"{random.getrandbits(64):016x}"
+
+
+def accepts_tracer(method) -> bool:
+    """True when ``method`` has an inspectable ``tracer`` parameter."""
+    if method is None:
+        return False
+    try:
+        return "tracer" in inspect.signature(method).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 class Span:

@@ -53,6 +53,16 @@ class TestCommands:
         assert "QSM suggestions" in out
         assert "Kennedy" in out
 
+    def test_query_timeout_is_reported_without_traceback(self, capsys):
+        # A cross join of every triple with every triple: far over the
+        # endpoint's budget, which the lone endpoint reports as a timeout.
+        code = main([
+            "query", "--no-suggest",
+            "SELECT ?a ?c WHERE { ?a ?p ?b . ?c ?q ?d } ORDER BY ?a LIMIT 1",
+        ])
+        assert code == 1
+        assert "error: EndpointTimeout" in capsys.readouterr().err
+
     def test_init_saves_cache(self, tmp_path, capsys):
         path = tmp_path / "cache.json"
         assert main(["init", "--save", str(path)]) == 0

@@ -79,10 +79,25 @@ class TestFederationUnderFailure:
         assert len(result) == 1
 
     def test_all_members_failing_returns_empty(self, flaky_dataset):
-        flaky = FlakyEndpoint(flaky_dataset.store, period=1, name="flaky")
-        federation = FederatedQueryProcessor([flaky])
+        """The mediator still swallows member failures so one member
+        cannot veto the others' answers — but flags the empty answer as
+        incomplete instead of passing it off as the whole truth."""
+        members = [
+            FlakyEndpoint(flaky_dataset.store, period=1, name=f"flaky{i}")
+            for i in range(2)
+        ]
+        federation = FederatedQueryProcessor(members)
         result = federation.select("SELECT ?s { ?s a dbo:Person }")
         assert len(result) == 0
+        assert result.truncated
+
+    def test_single_failing_member_raises_its_timeout(self, flaky_dataset):
+        """A lone member gets the query forwarded whole, so its timeout
+        reaches the caller instead of turning into an empty answer."""
+        flaky = FlakyEndpoint(flaky_dataset.store, period=1, name="flaky")
+        federation = FederatedQueryProcessor([flaky])
+        with pytest.raises(EndpointTimeout):
+            federation.select("SELECT ?s { ?s a dbo:Person }")
 
 
 class TestQsmUnderFailure:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.endpoint import EndpointConfig, SparqlEndpoint
+from repro.endpoint import EndpointConfig, EndpointError, SparqlEndpoint
 from repro.federation import FederatedQueryProcessor
 from repro.rdf import DBO, DBR, FOAF, Literal, RDF_TYPE, RDFS_LABEL, Triple, TriplePattern, Variable
-from repro.sparql import evaluate
+from repro.sparql import evaluate, parse_query
 from repro.store import TripleStore
 
 
@@ -135,3 +135,144 @@ class TestCrossEndpointJoins:
             "SELECT ?name ?c { ?p foaf:name ?name OPTIONAL { ?p dbo:missing ?c } }"
         )
         assert len(result) == 3
+
+
+# ----------------------------------------------------------------------
+# Sole-source forwarding
+# ----------------------------------------------------------------------
+
+#: Shapes where a mediator that splits the query, strips its modifiers
+#: and runs OPTIONAL per base row could drift from the endpoint.
+DIFFERENTIAL_QUERIES = [
+    # Cross join under ORDER BY ... LIMIT: the modifiers must run where
+    # all rows are, not over separately fetched (and capped) halves.
+    "SELECT ?c ?b ?a WHERE { ?c foaf:surname ?b . ?a a dbo:Person } "
+    "ORDER BY DESC(?b) DESC(?a) LIMIT 3",
+    "SELECT ?p ?n ?c WHERE { ?p a dbo:Person . ?p foaf:name ?n . "
+    "OPTIONAL { ?p dbo:birthPlace ?c } }",
+    "SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s a ?t } "
+    "GROUP BY ?t ORDER BY DESC(?n) ?t",
+    "SELECT DISTINCT ?c WHERE { ?p dbo:birthPlace ?c } LIMIT 4 OFFSET 2",
+    "SELECT DISTINCT ?c WHERE { ?p dbo:birthPlace ?c } "
+    "ORDER BY ?c LIMIT 4 OFFSET 2",
+]
+
+
+def outcome(call, query):
+    """Rows in order plus the truncation flag, or the error class."""
+    try:
+        result = call(query)
+    except EndpointError as exc:
+        return type(exc)
+    return [sorted(row.items()) for row in result.rows], result.truncated
+
+
+class TestSoleSourceForwarding:
+    @pytest.mark.parametrize("config", [
+        EndpointConfig(),
+        EndpointConfig(max_rows=5),
+        EndpointConfig(timeout_s=0.0001),
+        EndpointConfig(reject_threshold=1),
+    ], ids=["default", "capped", "timeout", "rejecting"])
+    @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
+    def test_one_member_federation_matches_the_endpoint(
+        self, tiny_dataset, config, query
+    ):
+        endpoint = SparqlEndpoint(tiny_dataset.store, config, name="solo")
+        federation = FederatedQueryProcessor([endpoint])
+        expected = outcome(endpoint.select, query)
+        before = endpoint.query_count
+        assert outcome(federation.run, query) == expected
+        # Exactly the forwarded query reached the member: no ASK probes.
+        assert endpoint.query_count == before + 1
+
+    def test_capped_result_arrives_truncated(self, tiny_dataset):
+        endpoint = SparqlEndpoint(
+            tiny_dataset.store, EndpointConfig(max_rows=5), name="solo")
+        federation = FederatedQueryProcessor([endpoint])
+        result = federation.select("SELECT ?s ?n WHERE { ?s foaf:name ?n }")
+        assert len(result.rows) == 5
+        assert result.truncated
+        assert [entry.truncated for entry in endpoint.log] == [True]
+
+    def test_ask_is_forwarded(self, tiny_dataset):
+        endpoint = SparqlEndpoint(
+            tiny_dataset.store, EndpointConfig(), name="solo")
+        federation = FederatedQueryProcessor([endpoint])
+        assert federation.ask("ASK { ?p a dbo:Person }")
+        assert endpoint.query_count == 1
+
+    def test_member_holding_every_pattern_gets_the_whole_query(
+        self, federation, two_endpoints
+    ):
+        people, cities = two_endpoints
+        query = (
+            "SELECT ?name WHERE { ?p foaf:name ?name "
+            "OPTIONAL { ?p dbo:birthPlace ?c } } ORDER BY DESC(?name) LIMIT 2"
+        )
+        assert federation.sole_source(parse_query(query)) is people
+        people.reset_log()
+        cities.reset_log()
+        result = federation.select(query)
+        assert [str(row["name"]) for row in result.rows] == ["Cme", "Bob"]
+        # Source selection asked both members about each pattern, then
+        # only the people member ran a query.
+        assert all(e.query.startswith("ASK") for e in cities.log)
+        assert [e.query for e in people.log
+                if not e.query.startswith("ASK")] == ["<preparsed>"]
+
+    def test_spanning_query_stays_on_the_mediator(self, federation):
+        query = parse_query(
+            'SELECT ?name { ?p dbo:birthPlace ?c . ?c rdfs:label "Paris"@en . '
+            "?p foaf:name ?name }"
+        )
+        assert federation.sole_source(query) is None
+
+    def test_union_branch_elsewhere_prevents_forwarding(self, federation):
+        query = parse_query(
+            "SELECT ?x { { ?x foaf:name ?n } UNION { ?x rdfs:label ?n } }"
+        )
+        assert federation.sole_source(query) is None
+
+
+class TestForwardedExplain:
+    def test_explain_names_the_member_and_shows_its_plan(self, two_endpoints):
+        people, _ = two_endpoints
+        federation = FederatedQueryProcessor([people])
+        query = "SELECT ?p ?n { ?p a dbo:Person . ?p foaf:name ?n }"
+        text = federation.explain(query)
+        first, rest = text.split("\n", 1)
+        assert first == "forwarded to people"
+        assert rest == people.explain(query)
+        assert "sources:" not in text
+        assert people.query_count == 0  # EXPLAIN stays free
+
+    def test_mediator_plan_for_a_spanning_query(self, federation):
+        text = federation.explain(
+            "SELECT ?name { ?p dbo:birthPlace ?c . ?c rdfs:label ?l . "
+            "?p foaf:name ?name }"
+        )
+        assert "forwarded to" not in text
+        assert "sources:" in text and "plan:" in text
+
+
+class TestCompletenessBit:
+    def test_capped_member_flags_the_mediated_answer(self, two_endpoints):
+        people, cities = two_endpoints
+        capped = SparqlEndpoint(
+            people.store, EndpointConfig(max_rows=1), name="capped")
+        federation = FederatedQueryProcessor([capped, cities])
+        result = federation.select(
+            "SELECT ?name ?city { ?p dbo:birthPlace ?c . ?c rdfs:label ?city . "
+            "?p foaf:name ?name }"
+        )
+        assert result.truncated
+        assert len(result.rows) < 3
+
+    def test_whole_answer_is_not_flagged(self, federation):
+        result = federation.select(
+            "SELECT ?name ?city { ?p dbo:birthPlace ?c . ?c rdfs:label ?city . "
+            "?p foaf:name ?name }"
+        )
+        assert len(result.rows) == 3
+        assert not result.truncated

@@ -640,6 +640,73 @@ class TestStats:
         assert app.deadline_s == 2.5
 
 
+def _wsgi_get(app, query):
+    """One in-process GET /sparql through ``app``; returns the headers."""
+    captured = {}
+
+    def start_response(status, headers):
+        captured.update(headers)
+
+    environ = {
+        "REQUEST_METHOD": "GET", "PATH_INFO": "/sparql",
+        "QUERY_STRING": urllib.parse.urlencode({"query": query}),
+        "HTTP_ACCEPT": "application/sparql-results+json",
+    }
+    b"".join(app(environ, start_response))
+    return captured
+
+
+class TestTruncatedResponses:
+    """The completeness bit end to end: a capped answer is flagged in
+    the ``X-Result-Truncated`` header, on the client's result, and in
+    the ``truncated_responses`` counter of ``/stats``."""
+
+    CAPPED = EndpointConfig(max_rows=3, timeout_s=float("inf"))
+
+    def test_stats_count_truncated_responses(self, tiny_dataset):
+        from repro.net.metrics import merge_stats_bodies
+        from repro.net.wsgi import SparqlWsgiApp
+
+        apps = [
+            SparqlWsgiApp(SparqlEndpoint(tiny_dataset.store, self.CAPPED))
+            for _ in range(2)
+        ]
+        headers = _wsgi_get(apps[0], "SELECT ?s WHERE { ?s a dbo:Person }")
+        assert headers["X-Result-Truncated"] == "true"
+        assert "X-Result-Truncated" not in _wsgi_get(
+            apps[0], "ASK { ?s a dbo:Person }")
+        _wsgi_get(apps[1], "SELECT ?s ?n WHERE { ?s foaf:name ?n }")
+        _wsgi_get(apps[1], "SELECT ?s ?n WHERE { ?s foaf:surname ?n }")
+        bodies = [app.stats_body() for app in apps]
+        assert [body["truncated_responses"] for body in bodies] == [1, 2]
+        assert merge_stats_bodies(bodies)["truncated_responses"] == 3
+
+    def test_mediated_answer_flagged_over_http(self, tiny_dataset):
+        """Two members, the people one capped below its match count,
+        and a query that needs both: the federation cannot vouch for
+        its answer, and says so over the wire."""
+        from repro.net.client import fetch_stats
+
+        people, works = split_dataset(tiny_dataset.store)
+        members = [
+            SparqlEndpoint(people, self.CAPPED, name="people"),
+            SparqlEndpoint(works, EndpointConfig.warehouse(), name="works"),
+        ]
+        query = ("SELECT ?name WHERE { ?b dbo:author ?a . "
+                 "?a foaf:name ?name }")
+        with SparqlHttpServer(FederatedQueryProcessor(members)) as server:
+            client = HttpSparqlEndpoint(server.url, name="fed", timeout_s=10.0)
+            result = client.select(query)
+            assert result.truncated
+            assert client.log[-1].truncated
+            status, headers, _ = http_get(
+                server.url + "?" + urllib.parse.urlencode({"query": query}),
+                accept="application/sparql-results+json")
+            assert status == 200
+            assert headers["X-Result-Truncated"] == "true"
+            assert fetch_stats(server.url)["truncated_responses"] == 2
+
+
 class TestServerLifecycle:
     def test_context_manager_releases_port(self, local_endpoints):
         with SparqlHttpServer(local_endpoints[0]) as server:

@@ -464,7 +464,9 @@ class TestFederatedExplain:
 
     def test_duplicate_patterns_deduplicated(self, slices):
         """The satellite fix: a duplicated triple pattern must be
-        fetched and joined once, not twice."""
+        fetched and joined once, not twice.  The name pattern lives on
+        another member, so the query runs on the mediator rather than
+        being forwarded whole."""
         endpoints = [
             SparqlEndpoint(store, EndpointConfig.warehouse(), name=f"d{i}")
             for i, store in enumerate(slices)
@@ -472,7 +474,7 @@ class TestFederatedExplain:
         federation = FederatedQueryProcessor(endpoints)
         text = (
             "SELECT ?p WHERE { ?p a dbo:Person . ?p a dbo:Person . "
-            "?p dbo:award dbr:Prize }"
+            "?p dbo:award dbr:Prize . ?p foaf:name ?n }"
         )
         plan_section = federation.explain(text).split("plan:", 1)[1]
         assert plan_section.count("22-rdf-syntax-ns#type") == 1
@@ -481,7 +483,7 @@ class TestFederatedExplain:
             endpoint.reset_log()
         result = federation.select(text)
         assert len(result.rows) == 4
-        # One fetch for the type pattern, one for the award pattern --
-        # a duplicated pattern adds zero extra requests.
+        # One fetch for the type+award group, one for the name pattern
+        # -- a duplicated pattern adds zero extra requests.
         total = sum(endpoint.query_count for endpoint in endpoints)
         assert total <= 3
